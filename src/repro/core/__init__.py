@@ -1,6 +1,7 @@
 """RDDR core: Replicate, De-noise, Diff, Respond (the paper's contribution).
 
 * :mod:`repro.core.incoming` / :mod:`repro.core.outgoing` — the proxies.
+* :mod:`repro.core.exchange` — the exchange engine both are built on.
 * :mod:`repro.core.diff` — tokenized divergence detection.
 * :mod:`repro.core.denoise` — filter-pair nondeterminism masking.
 * :mod:`repro.core.ephemeral` — CSRF-style per-instance state handling.

@@ -39,17 +39,23 @@ import asyncio
 import contextlib
 import ssl
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core import events as ev
 from repro.core.config import RddrConfig
-from repro.core.denoise import FilterPairDenoiser, learn_noise_mask
-from repro.core.diff import EMPTY_MASK, diff_tokens
 from repro.core.ephemeral import EphemeralStateStore
 from repro.core.events import EventLog
+from repro.core.exchange import (
+    ExchangeCore,
+    Member,
+    ReadFailure,
+    close_members,
+    collect,
+    fan_out,
+)
 from repro.core.metrics import ProxyMetrics
 from repro.core.signatures import SignatureStore
-from repro.core.variance import VarianceMasker
 from repro.graph.index import ExecutionIndex
 from repro.journal import (
     ExchangeJournal,
@@ -59,8 +65,8 @@ from repro.journal import (
     supports_snapshots,
 )
 from repro.journal.log import FLAG_DEGRADED, FLAG_MAJORITY
-from repro.obs import ExchangeTrace, Observer, TraceSampler, active_observer
-from repro.protocols.base import ProtocolModule, capabilities_of, resolve
+from repro.obs import ExchangeTrace, Observer
+from repro.protocols.base import ProtocolModule, capabilities_of
 from repro.recovery.admission import AdmissionController
 from repro.recovery.directory import MODE_OUT, MODE_SHADOW, InstanceDirectory
 from repro.transport.retry import open_connection_retry
@@ -70,29 +76,26 @@ from repro.transport.streams import ConnectionClosed, close_writer, drain_write
 Address = tuple[str, int]
 
 
-@dataclass
-class _InstanceLink:
-    """One live connection to one instance, keeping its original index."""
+@dataclass(slots=True)
+class _Exchange:
+    """What every stage of one client exchange needs to know about it."""
 
-    index: int
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    #: Shadow (REJOINING) links replicate and compare but never vote.
-    shadow: bool = False
-    #: The endpoint this link was dialed to (for directory refreshes).
-    address: Address | None = None
-
-
-@dataclass
-class _ReadFailure:
-    """One instance's failed response read within an exchange."""
-
-    kind: str  # "deadline" or "lost"
-    detail: str
+    number: int
+    #: The client's request, upstream execution index already stripped.
+    request: bytes
+    client: asyncio.StreamWriter
+    state: object
+    trace: ExchangeTrace
+    #: Directory version the connection's links were last reconciled to.
+    version: int
+    index: ExecutionIndex | None
+    started: float
 
 
-class IncomingRequestProxy:
+class IncomingRequestProxy(ExchangeCore):
     """N-versioning proxy for client-initiated traffic."""
+
+    direction = "incoming"
 
     def __init__(
         self,
@@ -114,35 +117,25 @@ class IncomingRequestProxy:
     ) -> None:
         if len(instances) < 2:
             raise ValueError("N-versioning requires at least 2 instances")
-        self.instances = list(instances)
-        self.protocol = resolve(protocol)
-        protocol = self.protocol
-        self.config = config or RddrConfig(protocol=protocol.name)
+        super().__init__(
+            protocol,
+            config,
+            name=name,
+            event_log=event_log,
+            metrics=metrics,
+            observer=observer,
+            directory=directory,
+        )
         if self.config.divergence_policy not in ("block", "vote"):
             raise ValueError(
                 f"unknown divergence policy {self.config.divergence_policy!r}"
             )
+        self.instances = list(instances)
         self.host = host
         self.port = port
-        self.name = name
-        self.directory = directory
-        # Explicit None checks: an empty EventLog is falsy (it has __len__).
-        self.observer = (
-            observer if observer is not None else (active_observer() or Observer())
-        )
-        self.events = (
-            event_log if event_log is not None else EventLog(observer=self.observer)
-        )
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else self.observer.proxy_metrics(name, protocol.name)
-        )
         self.server_ssl = server_ssl
         self.instance_ssl = instance_ssl
         self.handle: ServerHandle | None = None
-        self._denoiser = FilterPairDenoiser(self.config.filter_pair_obj())
-        self._variance = VarianceMasker(self.config.variance_rules)
         self._ephemeral = EphemeralStateStore(
             instance_count=len(instances),
             min_length=self.config.ephemeral_min_length,
@@ -152,12 +145,6 @@ class IncomingRequestProxy:
         self._admission = AdmissionController(
             self.config.max_concurrent_exchanges,
             self.config.admission_queue_limit,
-        )
-        self._exchange_counter = 0
-        #: Deterministic trace sampling: exchanges the sampler drops run
-        #: the allocation-free null-trace path (zero Span objects).
-        self._sampler = TraceSampler(
-            self.config.trace_sample_rate, self.config.trace_sample_seed
         )
         #: Durable exchange journal (None = journaling off).  Appended at
         #: commit time, *before* the client drain, so a client disconnect
@@ -178,16 +165,13 @@ class IncomingRequestProxy:
             else None
         )
         self._snapshot_task: asyncio.Task | None = None
-        #: Optional per-exchange protocol hooks, resolved once from the
+        #: Optional per-exchange protocol hook, resolved once from the
         #: declared capabilities instead of a getattr per exchange.
-        caps = capabilities_of(protocol)
-        self._finish_hook = protocol.finish_exchange if caps.finish_exchange else None
-        #: Execution-index propagation (repro.graph): extract the parent
-        #: index from each client request and tag this hop's child index
-        #: into traces/journal events.  Off unless the config enables it
-        #: *and* the protocol implements the contract-1.2 pair — when
-        #: off, the exchange hot path never touches the hooks.
-        self._index_enabled = bool(self.config.execution_index) and caps.execution_index
+        self._finish_hook = (
+            self.protocol.finish_exchange
+            if capabilities_of(self.protocol).finish_exchange
+            else None
+        )
         #: Re-attach the child index to replicated requests, so instances
         #: that relay toward an outgoing proxy carry the index onward
         #: (set by RddrDeployment when the deployment has outgoing
@@ -247,7 +231,7 @@ class IncomingRequestProxy:
 
     async def _connect_instances(
         self, client_writer: asyncio.StreamWriter
-    ) -> tuple[list[_InstanceLink], int] | None:
+    ) -> tuple[list[Member], int] | None:
         """Dial every instance (bounded retry-with-backoff per endpoint).
 
         With a directory, the dial set is its current snapshot: ``out``
@@ -260,16 +244,14 @@ class IncomingRequestProxy:
         version = 0
         if self.directory is None:
             dialable = [
-                _InstanceLink(index=i, reader=None, writer=None, address=address)  # type: ignore[arg-type]
-                for i, address in enumerate(self.instances)
+                Member(index, address=address)
+                for index, address in enumerate(self.instances)
             ]
         else:
             version, entries = self.directory.snapshot()
             dialable = [
-                _InstanceLink(
-                    index=entry.index,
-                    reader=None,  # type: ignore[arg-type]
-                    writer=None,  # type: ignore[arg-type]
+                Member(
+                    entry.index,
                     shadow=entry.mode == MODE_SHADOW,
                     address=entry.address,
                 )
@@ -280,65 +262,38 @@ class IncomingRequestProxy:
             *(self._dial(link.address) for link in dialable),
             return_exceptions=True,
         )
-        if any(isinstance(result, asyncio.CancelledError) for result in results):
-            for result in results:
-                if not isinstance(result, BaseException):
-                    await close_writer(result[1])
-            raise asyncio.CancelledError
-        links: list[_InstanceLink] = []
-        voter_failed: list[tuple[int, BaseException]] = []
+        failed: list[tuple[Member, str]] = []
+        cancelled = False
         for link, result in zip(dialable, results):
             if isinstance(result, BaseException):
-                if link.shadow:
-                    # A rejoining instance that cannot be dialed never
-                    # blocks the exchange; tell the supervisor instead.
-                    self._report_failure(
-                        link.index, f"shadow connect failed: {result}"
-                    )
-                    continue
-                voter_failed.append((link.index, result))
-                continue
-            link.reader, link.writer = result
-            links.append(link)
-        if not voter_failed:
+                cancelled = cancelled or isinstance(result, asyncio.CancelledError)
+                failed.append((link, str(result)))
+            else:
+                link.reader, link.writer = result
+        if cancelled:
+            await close_members(dialable)
+            raise asyncio.CancelledError
+        if not failed:
+            return dialable, version
+        links = await self.settle(dialable, failed, "connect", count=False)
+        if links is not None:
             return links, version
-        voter_total = len([link for link in dialable if not link.shadow])
-        voters = sum(1 for link in links if not link.shadow)
-        if self.config.degradation_allowed(voter_total, voters):
-            for index, error in voter_failed:
-                self.events.record(
-                    ev.DEGRADED,
-                    f"instance {index} dropped at connect: {error}",
-                    proxy=self.name,
-                )
-                self._report_failure(index, f"connect failed: {error}")
-            return links, version
-        for link in links:
-            await close_writer(link.writer)
-        index, error = voter_failed[0]
+        await close_members(dialable)
+        link, error = next(entry for entry in failed if not entry[0].shadow)
         self.events.record(
             ev.INSTANCE_ERROR,
-            f"connect failed: instance {index}: {error}",
+            f"connect failed: instance {link.index}: {error}",
             proxy=self.name,
         )
-        self._report_failure(index, f"connect failed: {error}")
-        block = self.protocol.block_response(self.config.block_message)
-        if block:
-            with contextlib.suppress(Exception):
-                client_writer.write(block)
-                await drain_write(client_writer)
-        await close_writer(client_writer)
+        self.report_failure(link.index, f"connect failed: {error}")
+        await self._refuse(client_writer, self.config.block_message)
         return None
-
-    def _report_failure(self, index: int, reason: str, *, fatal: bool = False) -> None:
-        if self.directory is not None:
-            self.directory.report_failure(index, reason, fatal=fatal)
 
     async def _exchange_loop(
         self,
         client_reader: asyncio.StreamReader,
         client_writer: asyncio.StreamWriter,
-        links: list[_InstanceLink],
+        links: list[Member],
         state: object,
         version: int,
     ) -> None:
@@ -365,57 +320,32 @@ class IncomingRequestProxy:
                     await self._shed(client_writer)
                     return
                 try:
-                    exchange = self._exchange_counter
-                    self._exchange_counter += 1
+                    number = self.next_exchange()
                     self.metrics.exchanges_total += 1
                     self.metrics.bytes_from_clients += len(request)
-                    index = (
-                        self._hop_index(exec_token, exchange)
+                    ctx = _Exchange(
+                        number, request, client_writer, state,
+                        self.begin_trace(number), version,
+                        self.hop_index(exec_token, number)
                         if self._index_enabled
-                        else None
-                    )
-                    trace = self.observer.begin_exchange(
-                        proxy=self.name,
-                        protocol=self.protocol.name,
-                        direction="incoming",
-                        exchange=exchange,
-                        sampler=self._sampler,
+                        else None,
+                        time.monotonic(),
                     )
                     try:
-                        survivors = await self._run_exchange(
-                            request, client_writer, links, state, exchange, trace,
-                            version, index=index,
-                        )
+                        survivors = await self._run_exchange(ctx, links)
                     finally:
-                        self.observer.finish_exchange(trace)
+                        self.observer.finish_exchange(ctx.trace)
                 finally:
                     self._admission.release()
                 if survivors is None:
                     return
                 links = survivors
         finally:
-            # Closing an already-closed writer is a no-op, so this safely
-            # covers links dropped (and closed) mid-exchange too.
-            for link in links:
-                await close_writer(link.writer)
-
-    def _hop_index(self, token: str | None, exchange: int) -> ExecutionIndex:
-        """This hop's child execution index for one exchange.
-
-        A parseable upstream token extends the caller's call path (and
-        inherits its deadline/retry budgets); anything else — no token,
-        or a malformed one — starts a fresh root here, so a corrupt
-        header degrades to per-hop tracing instead of failing the
-        exchange.
-        """
-        parent = ExecutionIndex.parse(token) if token else None
-        if parent is None:
-            parent = ExecutionIndex.origin(f"{self.name}-{exchange:06d}")
-        return parent.child(self.name, exchange)
+            await close_members(links)
 
     async def _refresh_links(
-        self, links: list[_InstanceLink], version: int
-    ) -> tuple[list[_InstanceLink], int]:
+        self, links: list[Member], version: int
+    ) -> tuple[list[Member], int]:
         """Reconcile this connection's links with the directory snapshot:
         drop ``out`` instances, re-dial swapped addresses, and admit
         (re)joining instances — all between exchanges."""
@@ -425,32 +355,24 @@ class IncomingRequestProxy:
         by_index = {link.index: link for link in links}
         for entry in entries:
             link = by_index.get(entry.index)
-            if entry.mode == MODE_OUT:
-                if link is not None:
-                    await close_writer(link.writer)
-                    del by_index[entry.index]
-                continue
-            if link is not None and link.address != entry.address:
+            if link is not None and (
+                entry.mode == MODE_OUT or link.address != entry.address
+            ):
                 await close_writer(link.writer)
                 del by_index[entry.index]
                 link = None
+            if entry.mode == MODE_OUT:
+                continue
             if link is None:
                 try:
                     reader, writer = await self._dial(entry.address)
                 except (ConnectionError, OSError) as error:
-                    self._report_failure(
-                        entry.index, f"redial failed: {error}"
-                    )
+                    self.report_failure(entry.index, f"redial failed: {error}")
                     continue
-                by_index[entry.index] = _InstanceLink(
-                    index=entry.index,
-                    reader=reader,
-                    writer=writer,
-                    shadow=entry.mode == MODE_SHADOW,
-                    address=entry.address,
+                link = by_index[entry.index] = Member(
+                    entry.index, reader, writer, address=entry.address
                 )
-            else:
-                link.shadow = entry.mode == MODE_SHADOW
+            link.shadow = entry.mode == MODE_SHADOW
         return sorted(by_index.values(), key=lambda link: link.index), new_version
 
     async def _shed(self, client_writer: asyncio.StreamWriter) -> None:
@@ -462,36 +384,17 @@ class IncomingRequestProxy:
             f"{self._admission.waiting} waiting)",
             proxy=self.name,
         )
-        trace = self.observer.begin_exchange(
-            proxy=self.name,
-            protocol=self.protocol.name,
-            direction="incoming",
-            exchange=self._exchange_counter,
-            sampler=self._sampler,
-        )
+        trace = self.begin_trace(self.next_exchange())
         trace.set_verdict("shed", "admission control")
         self.observer.finish_exchange(trace)
-        shed = self.protocol.block_response(self.config.shed_message)
-        if shed:
-            with contextlib.suppress(Exception):
-                client_writer.write(shed)
-                await drain_write(client_writer)
-        await close_writer(client_writer)
+        await self._refuse(client_writer, self.config.shed_message)
 
     async def _run_exchange(
-        self,
-        request: bytes,
-        client_writer: asyncio.StreamWriter,
-        links: list[_InstanceLink],
-        state: object,
-        exchange: int,
-        trace: ExchangeTrace,
-        version: int = 0,
-        index: ExecutionIndex | None = None,
-    ) -> list[_InstanceLink] | None:
+        self, ctx: _Exchange, links: list[Member]
+    ) -> list[Member] | None:
         """One exchange; returns the surviving links, or ``None`` to stop
         serving this client connection."""
-        started = time.monotonic()
+        request, exchange, trace, index = ctx.request, ctx.number, ctx.trace, ctx.index
         if trace.sampled:  # sampled-out: skip even building the lists
             trace.root.attrs["voters"] = [
                 link.index for link in links if not link.shadow
@@ -514,13 +417,10 @@ class IncomingRequestProxy:
                     exchange=exchange,
                 )
                 trace.set_verdict("blocked_signature", signature.reason)
-                await self._block(client_writer, links, exchange, None)
+                await self._block(ctx, links, None)
                 return None
 
         # Replicate, substituting each instance's own ephemeral state.
-        # Pipelined: buffer every link's write first (StreamWriter.write is
-        # synchronous), then drain all links while the kernel pushes them
-        # concurrently — replication costs the *slowest* link, not the sum.
         # Instances that relay onward (non-leaf hops) receive the request
         # with this hop's child index re-attached; everything *else* in
         # this exchange — journal, diff, signatures — uses the stripped
@@ -529,62 +429,41 @@ class IncomingRequestProxy:
         if self._propagate_index and index is not None:
             wire_request = self.protocol.attach_index(request, index.encode())
         with trace.span("replicate") as replicate:
-            send_failed: list[_InstanceLink] = []
-            for link in links:
-                payload = wire_request
-                if self.config.ephemeral_state:
-                    payload = self._ephemeral.rewrite_for_instance(
+            payloads = [wire_request] * len(links)
+            if self.config.ephemeral_state:
+                for position, link in enumerate(links):
+                    payloads[position] = self._ephemeral.rewrite_for_instance(
                         wire_request, link.index
                     )
-                    if payload != wire_request:
+                    if payloads[position] != wire_request:
                         self.events.record(
                             ev.EPHEMERAL_REWRITTEN,
                             f"instance {link.index}",
                             proxy=self.name,
                             exchange=exchange,
                         )
-                with trace.span("send", parent=replicate, instance=link.index):
-                    link.writer.write(payload)
-            for link in links:
-                try:
-                    await drain_write(link.writer)
-                except ConnectionClosed:
-                    send_failed.append(link)
+            send_failed = await fan_out(links, payloads, trace, replicate, drain_write)
         degraded = False
-        shadow_failed = [link for link in send_failed if link.shadow]
-        for link in shadow_failed:
-            self._report_failure(
-                link.index, "shadow connection lost during replicate"
-            )
-            await close_writer(link.writer)
-            links = [item for item in links if item is not link]
-        send_failed = [link for link in send_failed if not link.shadow]
         if send_failed:
-            survivors = [link for link in links if link not in send_failed]
-            voter_total = sum(1 for link in links if not link.shadow)
-            voter_survivors = sum(1 for link in survivors if not link.shadow)
-            if self.config.degradation_allowed(voter_total, voter_survivors):
-                await self._drop_links(
-                    send_failed, exchange, "connection lost during replicate"
-                )
-                links = survivors
-                degraded = True
-            else:
-                reason = f"instance {send_failed[0].index} connection lost"
+            survivors = await self.settle(
+                links,
+                [(link, "connection lost during replicate") for link in send_failed],
+                exchange=exchange,
+            )
+            if survivors is None:
+                lost = next(link for link in send_failed if not link.shadow)
+                reason = f"instance {lost.index} connection lost"
                 trace.set_verdict("instance_error", reason)
-                await self._block(
-                    client_writer, links, exchange, reason, request=request
-                )
+                await self._block(ctx, links, reason)
                 return None
+            degraded = any(not link.shadow for link in send_failed)
+            links = survivors
         if self.config.ephemeral_state:
             self._ephemeral.consume_used(request)
 
-        if not self.protocol.expects_response(request, state):
+        if not self.protocol.expects_response(request, ctx.state):
             trace.set_verdict("oneway")
-            await self._journal_commit(
-                request, b"", version,
-                flags=FLAG_DEGRADED if degraded else 0, index=index,
-            )
+            await self._journal_commit(ctx, b"", FLAG_DEGRADED if degraded else 0)
             return links
 
         # Deadline propagation: an upstream hop's remaining budget caps
@@ -593,110 +472,152 @@ class IncomingRequestProxy:
         deadline = self.config.instance_deadline()
         if index is not None and index.deadline_s is not None:
             deadline = min(deadline, index.deadline_s)
-        outcome = await self._gather_responses(
-            links, state, request, exchange, trace,
-            degraded=degraded, deadline=deadline,
+        responses, read_failed = await collect(
+            links,
+            lambda link: self.protocol.read_server_message(
+                link.reader, ctx.state, request
+            ),
+            deadline,
+            trace,
         )
-        if outcome is None:
-            await self._block(
-                client_writer, links, exchange, "instance failure/timeout",
-                request=request,
-            )
-            return None
-        responses, links, degraded = outcome
-        voters = [p for p, link in enumerate(links) if not link.shadow]
-
-        verdict, masked = self._analyse(responses, links, exchange, trace)
-        if verdict is not None:
-            trace.set_verdict("divergent", verdict)
-            if self.config.divergence_policy == "vote" and len(voters) >= 3:
-                majority_rel = _majority_indices([masked[p] for p in voters])
-                if majority_rel is not None:
-                    majority = [voters[i] for i in majority_rel]
-                    trace.set_verdict("vote_majority", verdict)
-                    flags = FLAG_MAJORITY | (FLAG_DEGRADED if degraded else 0)
-                    await self._journal_commit(
-                        request, responses[majority[0]], version,
-                        flags=flags, index=index,
-                    )
-                    # Report shadows against the pre-vote positions: a
-                    # quarantined minority shifts link positions below.
-                    self._report_shadows(links, masked, majority[0], exchange)
-                    links = await self._vote_respond(
-                        client_writer,
-                        links,
-                        responses,
-                        majority,
-                        voters,
-                        exchange,
-                        verdict,
-                    )
-                    if links is None:
-                        return None
-                    self.metrics.latency.observe(time.monotonic() - started)
-                    self._finish_exchange(state)
-                    if self.protocol.terminal_response(responses[majority[0]]):
-                        return None
-                    return links
-            await self._block(
-                client_writer, links, exchange, verdict, request=request
-            )
-            return None
-
-        canonical_position = self._position_for(
-            links, self.config.canonical_instance
-        )
-        canonical = responses[canonical_position]
-        await self._journal_commit(
-            request, canonical, version,
-            flags=FLAG_DEGRADED if degraded else 0, index=index,
-        )
-        self.metrics.bytes_to_clients += len(canonical)
-        with trace.span("respond"):
-            client_writer.write(canonical)
-            try:
-                await drain_write(client_writer)
-            except ConnectionClosed:
-                trace.set_verdict("client_closed")
-                return None
-        self._report_shadows(links, masked, canonical_position, exchange)
-        self.metrics.latency.observe(time.monotonic() - started)
-        if degraded:
-            trace.set_verdict("degraded", "served on surviving majority")
-            self.events.record(
-                ev.EXCHANGE_OK,
-                "unanimous (degraded quorum)",
-                proxy=self.name,
+        if read_failed:
+            survivors = await self.settle(
+                links,
+                [(link, failure.detail) for link, failure in read_failed],
+                "collect",
                 exchange=exchange,
+                count=not degraded,
             )
+            if survivors is None:
+                self._record_read_failure(ctx, read_failed, deadline)
+                await self._block(ctx, links, "instance failure/timeout")
+                return None
+            degraded = degraded or any(not link.shadow for link, _ in read_failed)
+            links = survivors
+            responses = [r for r in responses if not isinstance(r, ReadFailure)]
+
+        capture = (
+            self.config.ephemeral_state
+            and len(links) == len(self.instances)
+            and not any(link.shadow for link in links)
+        )
+        verdict, masked = self.analyse(
+            responses, links, exchange, trace,
+            ephemeral=self._ephemeral if capture else None,
+        )
+        flags = FLAG_DEGRADED if degraded else 0
+        if verdict is None:
+            position = self._canonical_position(links)
+            outcome = (
+                ("degraded", "served on surviving majority")
+                if degraded
+                else ("unanimous", None)
+            )
+            return await self._serve(
+                ctx, links, responses[position], position, masked, flags, outcome
+            )
+        trace.set_verdict("divergent", verdict)
+        voters = [p for p, link in enumerate(links) if not link.shadow]
+        if self.config.divergence_policy == "vote" and len(voters) >= 3:
+            majority_rel = _majority_indices([masked[p] for p in voters])
+            if majority_rel is not None:
+                majority = [voters[i] for i in majority_rel]
+                minority = [links[p] for p in voters if p not in majority]
+                self.events.record(
+                    ev.VOTE_OVERRIDE,
+                    f"{len(majority)}/{len(voters)} agreed ({verdict}); "
+                    f"outvoted instances: {[link.index for link in minority]}",
+                    proxy=self.name,
+                    exchange=exchange,
+                )
+                return await self._serve(
+                    ctx, links, responses[majority[0]], majority[0], masked,
+                    flags | FLAG_MAJORITY, ("vote_majority", verdict),
+                    outvoted=minority,
+                )
+        await self._block(ctx, links, verdict)
+        return None
+
+    def _record_read_failure(
+        self,
+        ctx: _Exchange,
+        read_failed: list[tuple[Member, ReadFailure]],
+        deadline: float,
+    ) -> None:
+        """Verdict and event for a collect stage that lost its quorum."""
+        voters = [entry for entry in read_failed if not entry[0].shadow]
+        if any(failure.kind == "deadline" for _, failure in voters):
+            kind, verdict = ev.TIMEOUT, "timeout"
+            reason = f"no unanimous response within {deadline}s"
+            self.metrics.timeouts += 1
         else:
-            trace.set_verdict("unanimous")
-            self.events.record(
-                ev.EXCHANGE_OK, "unanimous", proxy=self.name, exchange=exchange
+            kind, verdict = ev.INSTANCE_ERROR, "instance_error"
+            reason = "; ".join(
+                f"instance {link.index}: {failure.detail}" for link, failure in voters
             )
-        self._finish_exchange(state)
-        if self.protocol.terminal_response(canonical):
+        ctx.trace.set_verdict(verdict, reason)
+        self.events.record(kind, reason, proxy=self.name, exchange=ctx.number)
+
+    async def _serve(
+        self,
+        ctx: _Exchange,
+        links: list[Member],
+        response: bytes,
+        position: int,
+        masked: list[tuple[bytes, ...]],
+        flags: int,
+        verdict: tuple[str, str | None],
+        *,
+        outvoted: Sequence[Member] = (),
+    ) -> list[Member] | None:
+        """Serve ``response`` (what ``links[position]`` said) to the
+        client: journal, respond, then the bookkeeping a served exchange
+        owes.  Returns the links to keep serving on, or ``None`` when
+        the client connection is finished.
+
+        ``outvoted`` are the voters a majority overruled; with
+        ``quarantine_minority`` they are dropped from the connection
+        once the client has its answer.
+        """
+        await self._journal_commit(ctx, response, flags)
+        self.metrics.bytes_to_clients += len(response)
+        with ctx.trace.span("respond"):
+            ctx.client.write(response)
+            try:
+                await drain_write(ctx.client)
+            except ConnectionClosed:
+                ctx.trace.set_verdict("client_closed")
+                return None
+        ctx.trace.set_verdict(*verdict)
+        # Shadows are compared against pre-quarantine positions: dropping
+        # the minority below shifts them.
+        self._report_shadows(links, masked, position, ctx.number)
+        self.metrics.latency.observe(time.monotonic() - ctx.started)
+        if self._finish_hook is not None:
+            self._finish_hook(ctx.state)
+        if outvoted and self.config.quarantine_minority:
+            for link in outvoted:
+                self.events.record(
+                    ev.QUARANTINE,
+                    f"instance {link.index} dropped from connection",
+                    proxy=self.name,
+                    exchange=ctx.number,
+                )
+                self.report_failure(
+                    link.index, f"outvoted: {verdict[1]}", fatal=True
+                )
+            await close_members(outvoted)
+            links = [link for link in links if link not in outvoted]
+        if self.protocol.terminal_response(response):
             # The relayed unit ends the session by protocol convention
             # (e.g. a FATAL forwarded up a chain): propagate the close
             # instead of leaving the client waiting on a dead cycle.
             return None
         return links
 
-    def _finish_exchange(self, state: object) -> None:
-        if self._finish_hook is not None:
-            self._finish_hook(state)
-
     # ---------------------------------------------------------- journaling
 
-    async def _journal_commit(
-        self,
-        request: bytes,
-        response: bytes,
-        version: int,
-        *,
-        flags: int = 0,
-        index: ExecutionIndex | None = None,
-    ) -> None:
+    async def _journal_commit(self, ctx: _Exchange, response: bytes, flags: int) -> None:
         """Append one committed state-mutating exchange to the journal.
 
         Only exchanges the proxy actually *served* reach this point —
@@ -706,21 +627,22 @@ class IncomingRequestProxy:
         after the shared group-commit barrier when
         ``journal_group_commit_ms`` is set.
         """
-        if self._group_commit is None or not self.protocol.mutates_state(request):
+        if self._group_commit is None or not self.protocol.mutates_state(ctx.request):
             return
         record = await self._group_commit.append(
-            request,
+            ctx.request,
             digest=response_digest(response),
-            directory_version=version,
+            directory_version=ctx.version,
             flags=flags,
         )
-        if index is not None:
-            self.last_exec_index = index.encode()
+        exec_index = ctx.index.encode() if ctx.index is not None else None
+        if exec_index is not None:
+            self.last_exec_index = exec_index
         self.observer.journal_appended(
             self.name,
             len(record.encode()),
             self.journal.size_bytes,
-            exec_index=index.encode() if index is not None else None,
+            exec_index=exec_index,
         )
         self._maybe_snapshot()
 
@@ -770,16 +692,14 @@ class IncomingRequestProxy:
                 return entry.address
         return None
 
-    def _position_for(
-        self, links: list[_InstanceLink], preferred_index: int
-    ) -> int:
-        """The position of the preferred original instance, or of the
-        first surviving *voter* if the preferred one is gone or shadow."""
+    def _canonical_position(self, links: list[Member]) -> int:
+        """The position of the canonical instance, or of the first
+        surviving *voter* if the canonical one is gone or shadow."""
         fallback: int | None = None
         for position, link in enumerate(links):
             if link.shadow:
                 continue
-            if link.index == preferred_index:
+            if link.index == self.config.canonical_instance:
                 return position
             if fallback is None:
                 fallback = position
@@ -787,7 +707,7 @@ class IncomingRequestProxy:
 
     def _report_shadows(
         self,
-        links: list[_InstanceLink],
+        links: list[Member],
         masked: list[tuple[bytes, ...]],
         reference_position: int,
         exchange: int,
@@ -809,318 +729,10 @@ class IncomingRequestProxy:
                 )
             self.directory.report_shadow(link.index, clean)
 
-    async def _gather_responses(
-        self,
-        links: list[_InstanceLink],
-        state: object,
-        request: bytes,
-        exchange: int,
-        trace: ExchangeTrace,
-        *,
-        degraded: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[bytes], list[_InstanceLink], bool] | None:
-        """Collect every instance's response under per-instance deadlines.
-
-        Each read is bounded individually, so one dead or straggling
-        instance cannot hold the whole exchange hostage: with degraded
-        quorum on, the failed instances are dropped and the surviving
-        majority's responses are returned; otherwise the exchange ends in
-        a timeout/instance_error block exactly as before.  A failed
-        *shadow* read never affects the exchange: the shadow link is
-        dropped silently and the supervisor notified.
-
-        Returns ``(responses, surviving links, degraded)`` or ``None`` to
-        block the exchange.
-        """
-        if deadline is None:
-            deadline = self.config.instance_deadline()
-
-        async def read_from(link: _InstanceLink, parent) -> bytes:
-            with trace.span("recv", parent=parent, instance=link.index):
-                return await self.protocol.read_server_message(
-                    link.reader, state, request
-                )
-
-        # One shared deadline timer via asyncio.wait instead of a
-        # wait_for wrapper (task + timer) per link: stragglers past the
-        # deadline are cancelled and read as "deadline" failures.
-        with trace.span("collect") as collect:
-            tasks = [
-                asyncio.ensure_future(read_from(link, collect)) for link in links
-            ]
-            if tasks:  # asyncio.wait() rejects an empty set
-                try:
-                    done, pending = await asyncio.wait(tasks, timeout=deadline)
-                except asyncio.CancelledError:
-                    for task in tasks:
-                        task.cancel()
-                    await asyncio.gather(*tasks, return_exceptions=True)
-                    raise
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-            results: list[bytes | _ReadFailure] = []
-            for task in tasks:
-                if task.cancelled():
-                    results.append(
-                        _ReadFailure("deadline", f"no response within {deadline}s")
-                    )
-                    continue
-                error = task.exception()
-                if error is not None:
-                    if isinstance(error, (ConnectionClosed, ConnectionError)):
-                        results.append(
-                            _ReadFailure("lost", str(error) or "connection lost")
-                        )
-                        continue
-                    # Retrieve the siblings' exceptions before bailing so
-                    # they aren't logged as "never retrieved" and lost.
-                    for other in tasks:
-                        if other is not task and not other.cancelled():
-                            other.exception()
-                    raise error
-                results.append(task.result())
-
-        shadow_failed = [
-            position
-            for position, result in enumerate(results)
-            if isinstance(result, _ReadFailure) and links[position].shadow
-        ]
-        for position in shadow_failed:
-            self._report_failure(
-                links[position].index,
-                f"shadow read failed: {results[position].detail}",
-            )
-            await close_writer(links[position].writer)
-        if shadow_failed:
-            keep = [p for p in range(len(links)) if p not in shadow_failed]
-            links = [links[p] for p in keep]
-            results = [results[p] for p in keep]
-
-        failed = [
-            position
-            for position, result in enumerate(results)
-            if isinstance(result, _ReadFailure)
-        ]
-        if not failed:
-            return list(results), links, degraded
-        survivors = [position for position in range(len(links)) if position not in failed]
-        voter_total = sum(1 for link in links if not link.shadow)
-        voter_survivors = sum(1 for p in survivors if not links[p].shadow)
-        if self.config.degradation_allowed(voter_total, voter_survivors):
-            if not degraded:
-                self.metrics.degraded_exchanges += 1
-            for position in failed:
-                self.events.record(
-                    ev.DEGRADED,
-                    f"instance {links[position].index} dropped: "
-                    f"{results[position].detail}",
-                    proxy=self.name,
-                    exchange=exchange,
-                )
-                self._report_failure(
-                    links[position].index, results[position].detail
-                )
-                await close_writer(links[position].writer)
-            return (
-                [results[position] for position in survivors],
-                [links[position] for position in survivors],
-                True,
-            )
-        if any(results[position].kind == "deadline" for position in failed):
-            reason = f"no unanimous response within {deadline}s"
-            trace.set_verdict("timeout", reason)
-            self.metrics.timeouts += 1
-            self.events.record(ev.TIMEOUT, reason, proxy=self.name, exchange=exchange)
-        else:
-            reason = "; ".join(
-                f"instance {links[position].index}: {results[position].detail}"
-                for position in failed
-            )
-            trace.set_verdict("instance_error", reason)
-            self.events.record(
-                ev.INSTANCE_ERROR, reason, proxy=self.name, exchange=exchange
-            )
-        return None
-
-    async def _drop_links(
-        self, dropped: list[_InstanceLink], exchange: int, why: str
-    ) -> None:
-        """Degrade: record and close the dropped instances' connections."""
-        self.metrics.degraded_exchanges += 1
-        for link in dropped:
-            self.events.record(
-                ev.DEGRADED,
-                f"instance {link.index} dropped: {why}",
-                proxy=self.name,
-                exchange=exchange,
-            )
-            self._report_failure(link.index, why)
-            await close_writer(link.writer)
-
-    def _analyse(
-        self,
-        responses: list[bytes],
-        links: list[_InstanceLink],
-        exchange: int,
-        trace: ExchangeTrace,
-    ) -> tuple[str | None, list[tuple[bytes, ...]]]:
-        """Tokenize, capture ephemeral state, de-noise, and diff.
-
-        Returns ``(divergence reason or None, per-link masked token
-        tuples)``.  Only *voter* streams feed the diff; masked tuples are
-        produced for every link so shadow comparison can reuse them.
-        """
-        with trace.span("denoise") as denoise:
-            raw_tokens = [self.protocol.tokenize(response) for response in responses]
-            if (
-                self.config.ephemeral_state
-                and len(links) == len(self.instances)
-                and not any(link.shadow for link in links)
-            ):
-                captured = self._ephemeral.capture(raw_tokens)
-                if captured:
-                    self.metrics.ephemeral_tokens_captured += len(captured)
-                    self.events.record(
-                        ev.EPHEMERAL_CAPTURED,
-                        f"{len(captured)} token(s)",
-                        proxy=self.name,
-                        exchange=exchange,
-                    )
-            tokens = self._variance.mask_streams(raw_tokens)
-            if tokens is not raw_tokens:
-                # Variance rules rewrote something this exchange; the
-                # count lets trace consumers (repro.fuzz's oracle) tell
-                # "unanimous because masking worked" from a plain match.
-                rewritten = sum(
-                    1
-                    for raw_stream, masked_stream in zip(raw_tokens, tokens)
-                    for raw, masked in zip(raw_stream, masked_stream)
-                    if raw != masked
-                )
-                if rewritten:
-                    denoise.attrs["variance_masked_tokens"] = rewritten
-            mask = self._mask_for(tokens, links)
-            if mask.token_ranges or mask.tail_from is not None:
-                self.metrics.noise_filtered_tokens += len(mask.token_ranges)
-                denoise.attrs["masked_tokens"] = len(mask.token_ranges)
-                self.events.record(
-                    ev.NOISE_FILTERED,
-                    f"{len(mask.token_ranges)} token(s) masked",
-                    proxy=self.name,
-                    exchange=exchange,
-                )
-        with trace.span("diff") as diff_span:
-            voter_tokens = [
-                tokens[position]
-                for position, link in enumerate(links)
-                if not link.shadow
-            ]
-            result = diff_tokens(voter_tokens, mask)
-            # Masked per-link tuples are only consumed by the voting path
-            # (majority grouping) and shadow comparison; the common
-            # unanimous/no-shadow exchange skips building them entirely.
-            need_masked = result.divergent or any(link.shadow for link in links)
-            if not need_masked:
-                masked_tuples: list[tuple[bytes, ...]] = []
-            elif not mask.token_ranges and mask.tail_from is None:
-                masked_tuples = [tuple(stream) for stream in tokens]
-            else:
-                masked_tuples = [
-                    tuple(mask.mask_token(i, token) for i, token in enumerate(stream))
-                    for stream in tokens
-                ]
-            diff_span.attrs["divergent"] = result.divergent
-        if result.divergent:
-            self.metrics.divergences += 1
-            # Exported for dedup by repro.fuzz triage (and anyone else
-            # correlating divergences across exchanges): the positional
-            # signature plus its position-insensitive cluster.
-            trace.root.attrs["diff_signature"] = result.signature()
-            trace.root.attrs["diff_cluster"] = result.cluster_signature()
-            return result.reason, masked_tuples
-        return None, masked_tuples
-
-    def _mask_for(self, tokens: list[list[bytes]], links: list[_InstanceLink]):
-        """Denoise via the filter pair, if both members are still active."""
-        pair = self._denoiser.pair
-        if pair is None:
-            return self._denoiser.mask_for(tokens)
-        positions = {link.index: position for position, link in enumerate(links)}
-        first, second = pair.indices()
-        if first not in positions or second not in positions:
-            return EMPTY_MASK
-        return learn_noise_mask(tokens[positions[first]], tokens[positions[second]])
-
-    # ------------------------------------------------------------ voting
-
-    async def _vote_respond(
-        self,
-        client_writer: asyncio.StreamWriter,
-        links: list[_InstanceLink],
-        responses: list[bytes],
-        majority: list[int],
-        voters: list[int],
-        exchange: int,
-        reason: str,
-    ) -> list[_InstanceLink] | None:
-        """Forward the majority's response; optionally quarantine the rest.
-
-        ``majority`` and ``voters`` are positions into ``links``; shadow
-        links are never part of either and always survive a vote.
-
-        Returns the (possibly reduced) link list, or ``None`` if the
-        client connection died.
-        """
-        minority = [p for p in voters if p not in majority]
-        self.events.record(
-            ev.VOTE_OVERRIDE,
-            f"{len(majority)}/{len(voters)} agreed ({reason}); "
-            f"outvoted instances: {[links[p].index for p in minority]}",
-            proxy=self.name,
-            exchange=exchange,
-        )
-        winner_position = majority[0]
-        response = responses[winner_position]
-        self.metrics.bytes_to_clients += len(response)
-        client_writer.write(response)
-        try:
-            await drain_write(client_writer)
-        except ConnectionClosed:
-            return None
-        if self.config.quarantine_minority:
-            drop = set()
-            for position in minority:
-                link = links[position]
-                self.events.record(
-                    ev.QUARANTINE,
-                    f"instance {link.index} dropped from connection",
-                    proxy=self.name,
-                    exchange=exchange,
-                )
-                self._report_failure(
-                    link.index, f"outvoted: {reason}", fatal=True
-                )
-                await close_writer(link.writer)
-                drop.add(position)
-            links = [
-                link for position, link in enumerate(links)
-                if position not in drop
-            ]
-        return links
-
     # ------------------------------------------------------------ blocking
 
     async def _block(
-        self,
-        client_writer: asyncio.StreamWriter,
-        links: list[_InstanceLink],
-        exchange: int,
-        reason: str | None,
-        *,
-        request: bytes | None = None,
+        self, ctx: _Exchange, links: list[Member], reason: str | None
     ) -> None:
         """Serve the intervention response and halt all communication.
 
@@ -1129,17 +741,24 @@ class IncomingRequestProxy:
         """
         self.metrics.exchanges_blocked += 1
         if reason is not None:
-            self.events.record(ev.DIVERGENCE, reason, proxy=self.name, exchange=exchange)
-            if self.config.signature_learning and request is not None:
-                self.signatures.learn(request, reason)
-        block = self.protocol.block_response(self.config.block_message)
-        if block:
+            self.events.record(
+                ev.DIVERGENCE, reason, proxy=self.name, exchange=ctx.number
+            )
+            if self.config.signature_learning:
+                self.signatures.learn(ctx.request, reason)
+        await self._refuse(ctx.client, self.config.block_message)
+        await close_members(links)
+
+    async def _refuse(self, client_writer: asyncio.StreamWriter, message: str) -> None:
+        """Answer the client with the protocol's framed refusal of
+        ``message`` (nothing, for protocols that just close) and close
+        its connection; a client that is already gone is not an error."""
+        refusal = self.protocol.block_response(message)
+        if refusal:
             with contextlib.suppress(Exception):
-                client_writer.write(block)
+                client_writer.write(refusal)
                 await drain_write(client_writer)
         await close_writer(client_writer)
-        for link in links:
-            await close_writer(link.writer)
 
 
 def _majority_indices(masked: list[tuple[bytes, ...]]) -> list[int] | None:

@@ -22,20 +22,23 @@ detected by the exchange timeout and treated as divergence.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
 
 from repro.core import events as ev
 from repro.core.config import RddrConfig
-from repro.core.denoise import FilterPairDenoiser
-from repro.core.diff import diff_tokens
 from repro.core.events import EventLog
+from repro.core.exchange import (
+    ExchangeCore,
+    Member,
+    ReadFailure,
+    close_members,
+    collect,
+    fan_out,
+)
 from repro.core.metrics import ProxyMetrics
-from repro.core.variance import VarianceMasker
-from repro.graph.index import ExecutionIndex
 from repro.graph.policy import EdgePolicy, containment_response
-from repro.obs import ExchangeTrace, Observer, TraceSampler, active_observer
-from repro.protocols.base import ProtocolModule, capabilities_of, resolve
+from repro.obs import ExchangeTrace, Observer
+from repro.protocols.base import ProtocolModule
 from repro.recovery.breaker import CircuitBreaker
 from repro.transport.retry import CircuitOpenError, open_connection_retry
 from repro.transport.server import ServerHandle, start_server
@@ -67,21 +70,24 @@ class _BackendLink:
 class _ConnectionGroup:
     """The k-th connection from every instance, matched together."""
 
-    def __init__(self, size: int) -> None:
-        self.readers: list[asyncio.StreamReader | None] = [None] * size
-        self.writers: list[asyncio.StreamWriter | None] = [None] * size
+    def __init__(self, size: int, number: int) -> None:
+        #: Monotone over the proxy's life; names the group in event text.
+        self.number = number
+        #: One slot per instance, filled as each one's connection arrives.
+        self.members: list[Member | None] = [None] * size
         self.complete = asyncio.Event()
         self.finished = asyncio.Event()
 
-    def join(self, index: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self.readers[index] = reader
-        self.writers[index] = writer
-        if all(r is not None for r in self.readers):
+    def join(self, member: Member) -> None:
+        self.members[member.index] = member
+        if all(slot is not None for slot in self.members):
             self.complete.set()
 
 
-class OutgoingRequestProxy:
+class OutgoingRequestProxy(ExchangeCore):
     """N-versioning proxy for instance-initiated (outgoing) traffic."""
+
+    direction = "outgoing"
 
     def __init__(
         self,
@@ -100,43 +106,28 @@ class OutgoingRequestProxy:
     ) -> None:
         if instance_count < 2:
             raise ValueError("N-versioning requires at least 2 instances")
+        super().__init__(
+            protocol,
+            config,
+            name=name,
+            event_log=event_log,
+            metrics=metrics,
+            observer=observer,
+        )
         self.backend = backend
         self.instance_count = instance_count
-        self.protocol = resolve(protocol)
-        protocol = self.protocol
-        self.config = config or RddrConfig(protocol=protocol.name)
         #: This edge's tree policy (repro.graph); the default is plain
         #: ``vote`` — byte-identical to pre-graph behaviour.
         self.edge = edge if edge is not None else EdgePolicy()
-        #: Execution-index propagation: on only when the config asks for
-        #: it *and* the protocol implements the contract-1.2 pair.
-        self._index_enabled = bool(
-            self.config.execution_index
-        ) and capabilities_of(protocol).execution_index
         #: Backend redials spent so far against ``edge.retry_budget``.
         self._redials_used = 0
         self.host = host
-        self.name = name
-        # Explicit None checks: an empty EventLog is falsy (it has __len__).
-        self.observer = (
-            observer if observer is not None else (active_observer() or Observer())
-        )
-        self.events = (
-            event_log if event_log is not None else EventLog(observer=self.observer)
-        )
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else self.observer.proxy_metrics(name, protocol.name)
-        )
         self.handles: list[ServerHandle] = []
-        self._denoiser = FilterPairDenoiser(self.config.filter_pair_obj())
-        self._variance = VarianceMasker(self.config.variance_rules)
+        #: The groups still forming or serving; a finished group is
+        #: forgotten, so this stays as small as the live connection count.
         self._groups: list[_ConnectionGroup] = []
-        self._exchange_counter = 0
-        self._sampler = TraceSampler(
-            self.config.trace_sample_rate, self.config.trace_sample_seed
-        )
+        #: Groups ever formed: the next group's number in event text.
+        self._group_counter = 0
         if breaker is None and self.config.circuit_breaker:
             breaker = CircuitBreaker(
                 failure_threshold=self.config.breaker_failure_threshold,
@@ -178,17 +169,6 @@ class OutgoingRequestProxy:
         for handle in self.handles:
             await handle.close()
 
-    def reset_instance(self, index: int) -> None:
-        """Hook for a respawned instance's connection grouping.
-
-        Grouping is self-aligning (an arriving connection joins the
-        earliest still-forming group missing its instance — see
-        :meth:`_assign_group`), so a respawned instance needs no counter
-        realignment: its next dial lands wherever its peers' next dials
-        land.  Kept as an explicit no-op so the recovery supervisor's
-        respawn path documents the alignment point.
-        """
-
     # ------------------------------------------------------------ grouping
 
     def _make_handler(self, index: int):
@@ -205,22 +185,25 @@ class OutgoingRequestProxy:
         instance that dialed extra times (respawn, a rejoining shadow
         joining mid-session) or missed dials (it was dead) simply lands
         in whatever group its peers are currently forming.
+
+        Returns the group and its number (monotone over the proxy's
+        life, for event text).
         """
-        for group_index, group in enumerate(self._groups):
-            if (
-                group.readers[index] is None
-                and not group.complete.is_set()
-                and not group.finished.is_set()
-            ):
-                return group, group_index
-        self._groups.append(_ConnectionGroup(self.instance_count))
-        return self._groups[-1], len(self._groups) - 1
+        for group in self._groups:
+            if group.members[index] is None and not group.complete.is_set():
+                return group, group.number
+        group = _ConnectionGroup(self.instance_count, self._group_counter)
+        self._group_counter += 1
+        self._groups.append(group)
+        return group, group.number
 
     async def _handle_instance_connection(
         self, index: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         group, group_index = self._assign_group(index)
-        group.join(index, reader, writer)
+        group.join(
+            Member(index, reader, writer, state=self.protocol.new_connection_state())
+        )
         self.metrics.connections_total += 1
         if index == self.config.canonical_instance:
             # The canonical instance's handler drives the whole group; the
@@ -230,31 +213,30 @@ class OutgoingRequestProxy:
                     group.complete.wait(), timeout=self.config.exchange_timeout
                 )
             except asyncio.TimeoutError:
-                joined = [i for i, r in enumerate(group.readers) if r is not None]
-                if self.config.degradation_allowed(self.instance_count, len(joined)):
-                    # Degraded group formation: run on the majority that
-                    # did connect instead of tearing the group down.
-                    missing = [
-                        i for i in range(self.instance_count) if i not in joined
-                    ]
-                    self.metrics.degraded_exchanges += 1
-                    for i in missing:
-                        self.events.record(
-                            ev.DEGRADED,
-                            f"group {group_index}: instance {i} never connected",
-                            proxy=self.name,
-                        )
-                    group.complete.set()  # release the joined members' waits
-                    await self._run_group(group, group_index)
-                    return
-                self.metrics.timeouts += 1
-                self.events.record(
-                    ev.TIMEOUT,
-                    f"group {group_index}: not all instances connected",
-                    proxy=self.name,
+                # Degraded group formation: run on the majority that did
+                # connect instead of tearing the group down.
+                present = [slot for slot in group.members if slot is not None]
+                missing = [
+                    Member(instance)
+                    for instance, slot in enumerate(group.members)
+                    if slot is None
+                ]
+                joined = await self.settle(
+                    present + missing,
+                    [(member, "never connected") for member in missing],
+                    "formation",
+                    scope=f"group {group_index}: ",
                 )
-                await self._teardown_group(group)
-                return
+                if joined is None:
+                    self.metrics.timeouts += 1
+                    self.events.record(
+                        ev.TIMEOUT,
+                        f"group {group_index}: not all instances connected",
+                        proxy=self.name,
+                    )
+                    await self._teardown_group(group)
+                    return
+                group.complete.set()  # release the joined members' waits
             await self._run_group(group, group_index)
         else:
             # Non-canonical connections stay open for the group's lifetime;
@@ -274,21 +256,16 @@ class OutgoingRequestProxy:
 
     async def _teardown_group(self, group: _ConnectionGroup) -> None:
         group.finished.set()
-        for writer in group.writers:
-            if writer is not None:
-                await close_writer(writer)
+        if group in self._groups:
+            self._groups.remove(group)
+        await close_members(group.members)
 
     # ------------------------------------------------------------ exchange
 
     async def _run_group(self, group: _ConnectionGroup, group_index: int) -> None:
-        # ``indices`` keeps each member's original instance index; a
-        # degraded group (formation or mid-exchange drop) simply has
-        # fewer entries than ``instance_count``.
-        indices = [i for i, r in enumerate(group.readers) if r is not None]
-        readers = [r for r in group.readers if r is not None]
-        writers = [w for w in group.writers if w is not None]
-        assert len(readers) >= 2
-        states = [self.protocol.new_connection_state() for _ in readers]
+        # A degraded group (formation or mid-exchange drop) simply has
+        # fewer members than ``instance_count``.
+        members = [slot for slot in group.members if slot is not None]
         backend = _BackendLink(self.protocol.new_connection_state())
         try:
             # ``vote`` (the status quo) dials eagerly and fails the whole
@@ -296,28 +273,16 @@ class OutgoingRequestProxy:
             # dead backend degrades into framed responses instead.
             if self.edge.mode == "vote":
                 await self._ensure_backend(backend)
-            while True:
-                trace = self.observer.begin_exchange(
-                    proxy=self.name,
-                    protocol=self.protocol.name,
-                    direction="outgoing",
-                    exchange=self._exchange_counter,
-                    sampler=self._sampler,
-                )
+            while members is not None:
+                # Opened while the group is still idle: the exchange
+                # number is only taken once a request actually arrives.
+                trace = self.begin_trace(self._exchange_counter)
                 try:
-                    stop = await self._run_group_exchange(
-                        group_index,
-                        readers,
-                        writers,
-                        indices,
-                        states,
-                        backend,
-                        trace,
+                    members = await self._run_group_exchange(
+                        group_index, members, backend, trace
                     )
                 finally:
                     self.observer.finish_exchange(trace)
-                if stop:
-                    return
         except CircuitOpenError as error:
             # Fast-fail: the backend breaker is open, so the group is torn
             # down immediately instead of burning the full retry budget.
@@ -329,9 +294,7 @@ class OutgoingRequestProxy:
                 ev.INSTANCE_ERROR, f"group {group_index}: {error}", proxy=self.name
             )
         finally:
-            group.finished.set()
-            for writer in writers:
-                await close_writer(writer)
+            await self._teardown_group(group)
             if backend.writer is not None:
                 await close_writer(backend.writer)
 
@@ -364,118 +327,108 @@ class OutgoingRequestProxy:
     async def _run_group_exchange(
         self,
         group_index: int,
-        readers: list[asyncio.StreamReader],
-        writers: list[asyncio.StreamWriter],
-        indices: list[int],
-        states: list[object],
+        members: list[Member],
         backend: _BackendLink,
         trace: ExchangeTrace,
-    ) -> bool:
-        """One outgoing exchange; returns True when the group is done.
-
-        ``readers``/``writers``/``indices``/``states`` are parallel lists
-        describing the group's surviving members; degradation removes
-        entries from all four in place.
-        """
-        with trace.span("collect") as collect:
-            requests, late = await self._gather_requests(
-                readers, indices, states, trace, collect
-            )
+    ) -> list[Member] | None:
+        """One outgoing exchange; returns the group's surviving members,
+        or ``None`` when the group is done."""
+        scope = f"group {group_index}: "
+        requests, read_failed = await collect(
+            members,
+            lambda member: self.protocol.read_client_message(
+                member.reader, member.state
+            ),
+            self.config.instance_deadline(),
+            trace,
+            first_waits_forever=True,
+        )
         degraded = False
-        if late:
-            if self.config.degradation_allowed(len(readers), len(readers) - len(late)):
-                self._degrade_group(
-                    group_index, readers, writers, indices, states, late,
-                    "missed deadline",
-                )
-                requests = [r for p, r in enumerate(requests) if p not in late]
-                degraded = True
-            else:
-                self.metrics.timeouts += 1
-                trace.set_verdict("timeout", "missing/late instance request")
-                await self._record_block(group_index, "missing/late instance request")
-                return True
+        if read_failed:
+            survivors = await self.settle(
+                members,
+                [
+                    (member, "missed deadline" if f.kind == "deadline" else f.detail)
+                    for member, f in read_failed
+                ],
+                scope=scope,
+            )
+            if survivors is None:
+                if any(failure.kind == "deadline" for _, failure in read_failed):
+                    self.metrics.timeouts += 1
+                    verdict, reason = "timeout", "missing/late instance request"
+                else:
+                    verdict, reason = "instance_error", "; ".join(
+                        f"instance {member.index}: {failure.detail}"
+                        for member, failure in read_failed
+                    )
+                trace.set_verdict(verdict, reason)
+                self._record_block(group_index, reason)
+                return None
+            requests = [r for r in requests if not isinstance(r, ReadFailure)]
+            members = survivors
+            degraded = True
         if all(request is None for request in requests):
             trace.discard = True  # all instances closed cleanly; not an exchange
-            return True
+            return None
         if any(request is None for request in requests):
-            closed = [p for p, r in enumerate(requests) if r is None]
-            if self.config.degradation_allowed(len(readers), len(readers) - len(closed)):
-                self._degrade_group(
-                    group_index, readers, writers, indices, states, closed,
-                    "closed while peers kept talking",
-                )
-                requests = [r for r in requests if r is not None]
-                degraded = True
-            else:
-                trace.set_verdict(
-                    "divergent", "instance closed while peers kept talking"
-                )
-                await self._record_block(
-                    group_index, "instance closed while peers kept talking"
-                )
-                return True
-        exchange = self._exchange_counter
-        self._exchange_counter += 1
+            reason = "closed while peers kept talking"
+            survivors = await self.settle(
+                members,
+                [(m, reason) for m, r in zip(members, requests) if r is None],
+                scope=scope,
+            )
+            if survivors is None:
+                trace.set_verdict("divergent", f"instance {reason}")
+                self._record_block(group_index, f"instance {reason}")
+                return None
+            requests = [request for request in requests if request is not None]
+            members = survivors
+            degraded = True
+        exchange = self.next_exchange(trace)
         self.metrics.exchanges_total += 1
-        trace.exchange = exchange
 
         # Execution index: strip the (instance-identical) envelope before
         # diffing, then derive this hop's child index.  The stripped form
         # is what gets compared and forwarded.
-        parent: ExecutionIndex | None = None
-        child: ExecutionIndex | None = None
+        child = None
         if self._index_enabled:
             token: str | None = None
-            stripped: list[bytes | None] = []
-            for request in requests:
-                if request is None:
-                    stripped.append(None)
-                    continue
-                found, bare = self.protocol.extract_index(request)
-                if token is None:
-                    token = found
-                stripped.append(bare)
-            requests = stripped
-            parent = ExecutionIndex.parse(token)
-            base = parent if parent is not None else ExecutionIndex.origin(
-                f"{self.name}-{exchange:06d}"
-            )
-            child = base.child(self.name, exchange)
+            for position, request in enumerate(requests):
+                found, requests[position] = self.protocol.extract_index(request)
+                token = token or found
+            child = self.hop_index(token, exchange)
             if trace.sampled:
                 trace.root.attrs["exec_index"] = child.encode()
 
         # Per-exchange backend deadline: the edge's share composed with
-        # whatever budget the parent hop passed down.
+        # whatever budget the parent hop passed down (a child index
+        # carries its parent's budgets).
         budget = self.config.exchange_timeout
         if self.edge.deadline_s is not None:
             budget = min(budget, self.edge.deadline_s)
-        if parent is not None and parent.deadline_s is not None:
-            budget = min(budget, parent.deadline_s)
+        if child is not None and child.deadline_s is not None:
+            budget = min(budget, child.deadline_s)
 
         if self.edge.mode == "shed":
             await self._serve_containment(
-                group_index, writers, trace, "shed", "edge policy: shed"
+                group_index, members, trace, "shed", "edge policy: shed"
             )
-            return False
+            return members
 
         if self.edge.diffs:
             with trace.span("merge") as merge:
-                verdict = self._analyse(
-                    [r for r in requests if r is not None], exchange, trace, merge
+                verdict, _ = self.analyse(
+                    requests, members, exchange, trace, parent=merge
                 )
             if verdict is not None:
                 trace.set_verdict("divergent", verdict)
-                await self._record_block(group_index, verdict)
-                return True
+                self._record_block(group_index, verdict)
+                return None
 
-        canonical_position = (
-            indices.index(self.config.canonical_instance)
-            if self.config.canonical_instance in indices
-            else 0
-        )
-        canonical = requests[canonical_position]
-        assert canonical is not None
+        indices = [member.index for member in members]
+        preferred = self.config.canonical_instance
+        canonical = requests[indices.index(preferred) if preferred in indices else 0]
         if child is not None:
             # Re-attach with the *remaining* budgets so the next hop
             # inherits only this edge's share.
@@ -496,7 +449,7 @@ class OutgoingRequestProxy:
 
                 if not self.protocol.expects_response(canonical, backend.state):
                     trace.set_verdict("oneway")
-                    return False
+                    return members
                 response = await asyncio.wait_for(
                     self.protocol.read_server_message(
                         backend.reader, backend.state, canonical
@@ -508,10 +461,10 @@ class OutgoingRequestProxy:
                 raise
             await self._drop_backend(backend)
             await self._serve_containment(
-                group_index, writers, trace, self.edge.on_failure,
+                group_index, members, trace, self.edge.on_failure,
                 "backend circuit open",
             )
-            return False
+            return members
         except _BACKEND_FAILURES as error:
             if not self.edge.contains_failure:
                 raise
@@ -522,140 +475,38 @@ class OutgoingRequestProxy:
                 else f"backend {type(error).__name__}"
             )
             await self._serve_containment(
-                group_index, writers, trace, self.edge.on_failure, reason
+                group_index, members, trace, self.edge.on_failure, reason
             )
-            return False
-        # Pipelined fan-back: buffer every member's write, then drain all
-        # — the merge-back costs the slowest member, not the sum.  A
-        # member that dies mid-fan-back degrades the group (when quorum
+            return members
+        # A member that dies mid-fan-back degrades the group (when quorum
         # allows) exactly as a failed read would; below quorum the whole
-        # group tears down, as the sequential path did.
+        # group tears down.
         with trace.span("fan-back") as fan_back:
-            for position, writer in enumerate(writers):
-                with trace.span("send", parent=fan_back, instance=indices[position]):
-                    writer.write(response)
-            fan_back_failed: list[int] = []
-            for position, writer in enumerate(writers):
-                try:
-                    await drain_write(writer)
-                except ConnectionClosed:
-                    fan_back_failed.append(position)
-        if fan_back_failed:
-            survivors = len(writers) - len(fan_back_failed)
-            if not self.config.degradation_allowed(len(writers), survivors):
-                raise ConnectionClosed(
-                    f"instance {indices[fan_back_failed[0]]} connection lost "
-                    "during fan-back"
-                )
-            self._degrade_group(
-                group_index, readers, writers, indices, states,
-                fan_back_failed, "connection lost during fan-back",
+            lost = await fan_out(
+                members, [response] * len(members), trace, fan_back, drain_write
             )
+        if lost:
+            survivors = await self.settle(
+                members,
+                [(member, "connection lost during fan-back") for member in lost],
+                scope=scope,
+            )
+            if survivors is None:
+                raise ConnectionClosed(
+                    f"instance {lost[0].index} connection lost during fan-back"
+                )
+            members = survivors
             degraded = True
         self.metrics.latency.observe(time.monotonic() - started)
         trace.set_verdict("degraded" if degraded else "unanimous")
-        self.events.record(
-            ev.EXCHANGE_OK,
-            "unanimous (degraded quorum)" if degraded else "unanimous",
-            proxy=self.name,
-            exchange=exchange,
-        )
         if self.protocol.terminal_response(response):
             # The backend ended the session in-band (e.g. a FATAL from a
             # downstream hop's block): fan-back is done, now propagate
             # the close so upstream hops see it too.
-            return True
-        return False
+            return None
+        return members
 
-    def _degrade_group(
-        self,
-        group_index: int,
-        readers: list[asyncio.StreamReader],
-        writers: list[asyncio.StreamWriter],
-        indices: list[int],
-        states: list[object],
-        positions: list[int],
-        why: str,
-    ) -> None:
-        """Drop the members at ``positions`` and keep the group serving."""
-        self.metrics.degraded_exchanges += 1
-        for position in sorted(positions, reverse=True):
-            self.events.record(
-                ev.DEGRADED,
-                f"group {group_index}: instance {indices[position]} dropped: {why}",
-                proxy=self.name,
-            )
-            writer = writers[position]
-            writer.close()  # waited on via close_writer at group teardown
-            del readers[position], writers[position], indices[position], states[position]
-
-    async def _gather_requests(
-        self,
-        readers: list[asyncio.StreamReader],
-        indices: list[int],
-        states: list[object],
-        trace: ExchangeTrace,
-        parent,
-    ) -> tuple[list[bytes | None], list[int]]:
-        """One request per member, plus the positions that missed the
-        per-instance deadline (their entries are ``None``)."""
-
-        async def read_one(
-            instance: int, reader: asyncio.StreamReader, state: object
-        ) -> bytes | None:
-            with trace.span("recv", parent=parent, instance=instance):
-                return await self.protocol.read_client_message(reader, state)
-
-        tasks = [
-            asyncio.ensure_future(read_one(indices[position], reader, state))
-            for position, (reader, state) in enumerate(zip(readers, states))
-        ]
-        # An idle group is benign: wait indefinitely for the *first*
-        # instance to speak (or hang up).  Once one has, the rest must
-        # follow within the per-instance deadline — a missing request is
-        # the smuggling/divergence signature.
-        await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
-        remaining = [task for task in tasks if not task.done()]
-        late: list[int] = []
-        if remaining:
-            _, pending = await asyncio.wait(
-                remaining, timeout=self.config.instance_deadline()
-            )
-            if pending:
-                late = [p for p, task in enumerate(tasks) if task in pending]
-                for task in pending:
-                    task.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
-        return (
-            [None if task.cancelled() else task.result() for task in tasks],
-            late,
-        )
-
-    def _analyse(
-        self, requests: list[bytes], exchange: int, trace: ExchangeTrace, parent
-    ) -> str | None:
-        with trace.span("denoise", parent=parent) as denoise:
-            raw_tokens = [self.protocol.tokenize(request) for request in requests]
-            tokens = self._variance.mask_streams(raw_tokens)
-            mask = self._denoiser.mask_for(tokens)
-            if mask.token_ranges or mask.tail_from is not None:
-                self.metrics.noise_filtered_tokens += len(mask.token_ranges)
-                denoise.attrs["masked_tokens"] = len(mask.token_ranges)
-                self.events.record(
-                    ev.NOISE_FILTERED,
-                    f"{len(mask.token_ranges)} token(s) masked",
-                    proxy=self.name,
-                    exchange=exchange,
-                )
-        with trace.span("diff", parent=parent) as diff_span:
-            result = diff_tokens(tokens, mask)
-            diff_span.attrs["divergent"] = result.divergent
-        if result.divergent:
-            self.metrics.divergences += 1
-            return result.reason
-        return None
-
-    async def _record_block(self, group_index: int, reason: str) -> None:
+    def _record_block(self, group_index: int, reason: str) -> None:
         self.metrics.exchanges_blocked += 1
         self.events.record(
             ev.DIVERGENCE, f"group {group_index}: {reason}", proxy=self.name
@@ -674,7 +525,7 @@ class OutgoingRequestProxy:
     async def _serve_containment(
         self,
         group_index: int,
-        writers: list[asyncio.StreamWriter],
+        members: list[Member],
         trace: ExchangeTrace,
         verdict: str,
         reason: str,
@@ -684,12 +535,8 @@ class OutgoingRequestProxy:
         failure maps to a policy verdict upstream, never a raw timeout
         or teardown cascading up the call tree."""
         payload = containment_response(self.protocol, reason)
-        for writer in writers:
-            with contextlib.suppress(Exception):
-                writer.write(payload)
-        for writer in writers:
-            with contextlib.suppress(ConnectionClosed, ConnectionError, OSError):
-                await drain_write(writer)
+        # A member this answer cannot reach is found by the next collect.
+        await fan_out(members, [payload] * len(members), trace, None, drain_write)
         mapped = "shed" if verdict == "shed" else "backend_degraded"
         trace.set_verdict(mapped, reason)
         if mapped == "shed":

@@ -173,7 +173,6 @@ async def deploy_nversioned(
                 fault_schedule=fault_schedule,
                 shims=fault_proxies,
                 retired_shims=retired_fault_proxies,
-                outgoing_proxies=list(rddr.outgoing.values()),
                 journal=rddr.journal,
                 proxy_address=lambda: rddr.address,
             )

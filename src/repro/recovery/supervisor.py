@@ -122,7 +122,6 @@ class RecoverySupervisor:
         fault_schedule: FaultSchedule | None = None,
         shims: list[FaultProxy] | None = None,
         retired_shims: list[FaultProxy] | None = None,
-        outgoing_proxies: list | None = None,
         probe: ProbeFn | None = None,
         journal: ExchangeJournal | None = None,
         proxy_address: Callable[[], tuple[str, int]] | None = None,
@@ -136,7 +135,6 @@ class RecoverySupervisor:
         self.fault_schedule = fault_schedule
         self.shims = shims if shims is not None else []
         self.retired_shims = retired_shims if retired_shims is not None else []
-        self.outgoing_proxies = outgoing_proxies or []
         #: Durable exchange journal for CATCHING_UP (None = skip that state).
         self.journal = journal
         #: Zero-arg callable returning the incoming proxy's client-facing
@@ -316,8 +314,6 @@ class RecoverySupervisor:
                     backoff = min(backoff * 2, 1.0)
                     continue
                 backoff = self.config.restart_backoff
-                for proxy in self.outgoing_proxies:
-                    proxy.reset_instance(index)
                 self.directory.set_address(index, published)
                 caught_up_to = 0
                 if self.journal is not None:

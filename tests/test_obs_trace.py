@@ -291,6 +291,93 @@ class TestOutgoingProxyTraces:
         assert [c["name"] for c in fan_back["children"]] == ["send"] * 2
 
 
+class TestExchangeIds:
+    """Every exported trace of one proxy has its own id, and the id
+    always names the exchange number the trace carries."""
+
+    @staticmethod
+    def _assert_ids(traces: list[dict], proxy: str, count: int) -> None:
+        assert len(traces) == count
+        for trace in traces:
+            assert trace["exchange_id"] == f"{proxy}-{trace['exchange']:06d}"
+        assert len({trace["exchange_id"] for trace in traces}) == count
+
+    def test_concurrently_idle_groups_get_distinct_ids(self):
+        async def main():
+            backend = await EchoServer().start()
+            observer = Observer()
+            proxy = OutgoingRequestProxy(
+                backend.address,
+                2,
+                "tcp",
+                RddrConfig(protocol="tcp", exchange_timeout=2.0),
+                observer=observer,
+            )
+            await proxy.start()
+            # Two groups formed and idle (both traces open) before either
+            # one's instances speak.
+            groups = [
+                [
+                    await open_connection_retry(*proxy.address_for_instance(i))
+                    for i in range(2)
+                ]
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0.1)
+            for group in reversed(groups):
+                for _, writer in group:
+                    writer.write(b"q\n")
+                    await writer.drain()
+                for reader, _ in group:
+                    assert await asyncio.wait_for(reader.readline(), 2.0) == b"q\n"
+            for group in groups:
+                for _, writer in group:
+                    await close_writer(writer)
+            await proxy.close()
+            await backend.close()
+            return observer
+
+        served = [t for t in run(main()).traces() if t["verdict"] == "unanimous"]
+        self._assert_ids(served, "rddr-outgoing", 2)
+
+    def test_shed_exchange_consumes_its_own_id(self):
+        class SlowEcho(EchoServer):
+            async def _serve(self, reader, writer):
+                while line := await reader.readline():
+                    await asyncio.sleep(0.4 if line == b"slow\n" else 0.0)
+                    writer.write(line)
+                    await writer.drain()
+
+        async def main():
+            servers = [await SlowEcho().start() for _ in range(2)]
+            observer = Observer()
+            proxy = IncomingRequestProxy(
+                [s.address for s in servers],
+                "tcp",
+                RddrConfig(
+                    protocol="tcp",
+                    exchange_timeout=3.0,
+                    max_concurrent_exchanges=1,
+                    admission_queue_limit=0,
+                ),
+                observer=observer,
+            )
+            await proxy.start()
+            slow = asyncio.ensure_future(_tcp_exchange(proxy.address, b"slow"))
+            await asyncio.sleep(0.15)  # the slow exchange holds the only slot
+            assert await _tcp_exchange(proxy.address, b"shed me") == b""
+            assert await slow == b"slow\n"
+            assert await _tcp_exchange(proxy.address, b"hi") == b"hi\n"
+            await proxy.close()
+            for server in servers:
+                await server.close()
+            return observer
+
+        traces = run(main()).traces()
+        assert sorted(t["verdict"] for t in traces) == ["shed", "unanimous", "unanimous"]
+        self._assert_ids(traces, "rddr-incoming", 3)
+
+
 class TestPublicApi:
     def test_deploy_facade(self):
         async def main():

@@ -17,12 +17,15 @@ import asyncio
 import contextlib
 
 from repro.apps.echo import EchoServer
+from repro.apps.kvstore import RedisLikeServer
 from repro.core import events as ev
 from repro.core.config import RddrConfig
 from repro.core.incoming import IncomingRequestProxy
 from repro.core.outgoing import OutgoingRequestProxy
 from repro.faults import FaultProxy, FaultSchedule, FaultSpec
+from repro.obs import Observer
 from repro.protocols import get_protocol
+from repro.protocols.resp import encode_command
 from repro.transport.retry import open_connection_retry
 from repro.transport.streams import ConnectionClosed, close_writer, drain_write
 from tests.helpers import run
@@ -313,4 +316,66 @@ class TestOutgoingFanBack:
         assert any(
             "fan-back" in event.detail
             for event in proxy.events.events(ev.INSTANCE_ERROR)
+        )
+
+
+class TestOutgoingMemberLostMidRequest:
+    """A member whose request is truncated mid-message (its read raises,
+    unlike a clean EOF between messages) is one ``lost`` member, not an
+    error that tears the group down."""
+
+    async def _drive(self, config: RddrConfig):
+        backend = await RedisLikeServer().start()
+        observer = Observer()
+        proxy = OutgoingRequestProxy(
+            backend.address, 3, get_protocol("resp"), config, observer=observer
+        )
+        await proxy.start()
+        members = [
+            await open_connection_retry(*proxy.address_for_instance(i))
+            for i in range(3)
+        ]
+        ping = encode_command("PING")
+        for reader, writer in members[:2]:
+            writer.write(ping)
+            await writer.drain()
+        # Member 2 dies with its bulk string half sent.
+        members[2][1].write(ping[:-3])
+        await members[2][1].drain()
+        await close_writer(members[2][1])
+
+        async def reply(reader) -> bytes:
+            try:
+                return await asyncio.wait_for(reader.readline(), 2.0)
+            except (asyncio.TimeoutError, ConnectionError):
+                return b""
+
+        replies = [await reply(reader) for reader, _ in members[:2]]
+        for _, writer in members[:2]:
+            await close_writer(writer)
+        await proxy.close()
+        await backend.close()
+        return proxy, observer, replies
+
+    def test_lost_member_is_dropped_under_quorum(self):
+        proxy, observer, replies = run(self._drive(_config(protocol="resp")))
+        assert replies == [b"+PONG\r\n", b"+PONG\r\n"]
+        degraded = proxy.events.events(ev.DEGRADED)
+        assert len(degraded) == 1
+        assert "instance 2 dropped" in degraded[0].detail
+        assert proxy.metrics.degraded_exchanges == 1
+        assert proxy.metrics.exchanges_blocked == 0
+        assert observer.sink.traces()[0]["verdict"] == "degraded"
+
+    def test_lost_member_blocks_below_quorum(self):
+        proxy, observer, replies = run(
+            self._drive(_config(protocol="resp", degraded_quorum=False))
+        )
+        assert replies == [b"", b""]  # blocked: the group is torn down
+        assert proxy.metrics.exchanges_blocked == 1
+        assert proxy.metrics.degraded_exchanges == 0
+        assert observer.sink.traces()[0]["verdict"] == "instance_error"
+        assert any(
+            "instance 2" in event.detail
+            for event in proxy.events.events(ev.DIVERGENCE)
         )

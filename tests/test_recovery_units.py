@@ -21,6 +21,7 @@ from repro.recovery import (
 )
 from repro.recovery.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.transport.retry import CircuitOpenError, open_connection_retry
+from repro.transport.streams import close_writer
 from tests.helpers import run
 
 
@@ -377,7 +378,7 @@ class TestOutgoingProxyBreaker:
         sentinel = object()
 
         group_a, index_a = proxy._assign_group(0)
-        group_a.readers[0] = sentinel
+        group_a.members[0] = sentinel
         group_b, index_b = proxy._assign_group(0)  # same instance again
         assert index_a == 0 and index_b == 1
         assert group_b is not group_a
@@ -385,17 +386,50 @@ class TestOutgoingProxyBreaker:
         # Peers fill the earliest still-forming slots first.
         group, index = proxy._assign_group(1)
         assert group is group_a and index == 0
-        group.readers[1] = sentinel
+        group.members[1] = sentinel
 
         # A completed group never takes another member.
         group_a.complete.set()
         group, index = proxy._assign_group(2)
         assert group is group_b and index == 1
 
-        # reset_instance is an explicit no-op under slot assignment.
-        proxy.reset_instance(1)
         group, index = proxy._assign_group(1)
         assert group is group_b and index == 1
+
+    def test_finished_groups_are_forgotten(self):
+        # K open/close cycles leave no group behind, while the group
+        # number in event text keeps counting.
+        async def main():
+            backend = await EchoServer().start()
+            proxy = OutgoingRequestProxy(backend.address, 2, "tcp")
+            await proxy.start()
+            high_water = 0
+            for cycle in range(5):
+                members = [
+                    await open_connection_retry(*proxy.address_for_instance(i))
+                    for i in range(2)
+                ]
+                for _, writer in members:
+                    writer.write(b"q\n")
+                    await writer.drain()
+                for reader, _ in members:
+                    assert await asyncio.wait_for(reader.readline(), 2.0) == b"q\n"
+                high_water = max(high_water, len(proxy._groups))
+                for _, writer in members:
+                    await close_writer(writer)
+                for _ in range(200):
+                    if not proxy._groups:
+                        break
+                    await asyncio.sleep(0.01)
+                assert proxy._groups == [], f"cycle {cycle} left a group behind"
+            _, number = proxy._assign_group(0)
+            await proxy.close()
+            await backend.close()
+            return high_water, number
+
+        high_water, number = run(main())
+        assert high_water == 1
+        assert number == 5
 
 
 class TestDirectoryModes:
